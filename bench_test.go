@@ -1,21 +1,22 @@
 package vmmk
 
-// One benchmark per experiment table (see DESIGN.md's experiment index),
-// plus primitive micro-benchmarks. Each BenchmarkE* regenerates its table's
-// underlying measurement; `go test -bench=. -benchmem` is the paper's whole
-// evaluation section.
+// One benchmark family covers every registered experiment, plus primitive
+// micro-benchmarks. BenchmarkExperiment is generated from core.Specs(): for
+// each experiment id, and for "all" (the whole evaluation in registry
+// order), it runs the experiment at its registry defaults through
+// RunExperiment and renders the text table — what `vmmklab <id>` does. A
+// newly registered experiment is benched with no edit here.
 //
-// The serial benchmarks pin the engine to one worker so they measure the
-// experiments themselves; the *Parallel variants run the same tables on a
+// The serial variants pin the engine to one worker so they measure the
+// experiments themselves; the parallel variants run the same tables on a
 // GOMAXPROCS-wide pool, so comparing the two is the engine's speedup:
 //
-//	go test -bench='E7Micro|E8Macro' -run=^$
+//	go test -run '^$' -bench 'Experiment/^(e7|e8)$' .
 //
 // Both variants produce identical tables (see core's determinism tests).
 
 import (
 	"context"
-	"io"
 	"testing"
 
 	"vmmk/internal/core"
@@ -25,290 +26,45 @@ import (
 	"vmmk/internal/vmm"
 )
 
-var (
-	serialEng   = core.SerialRunner()
-	parallelEng = core.DefaultRunner() // GOMAXPROCS workers
-)
-
-// BenchmarkE1Dom0Overhead regenerates the Cherkasova-Gardner sweep.
-func BenchmarkE1Dom0Overhead(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := serialEng.E1(core.E1Config{Sizes: []int{64, 1500, 4096}, Packets: 50})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rows) == 0 {
-			b.Fatal("no rows")
+// BenchmarkExperiment runs BenchmarkExperiment/<id|all>/{serial,parallel}.
+// Each sub-benchmark owns its runner, so its machine pools warm over its
+// own iterations, whichever sub-benchmarks ran before it.
+func BenchmarkExperiment(b *testing.B) {
+	var all []string
+	for _, s := range core.Specs() {
+		all = append(all, s.ID)
+	}
+	run := func(b *testing.B, ids []string) {
+		for _, mode := range []struct {
+			name     string
+			parallel int
+		}{{"serial", 1}, {"parallel", 0}} {
+			b.Run(mode.name, func(b *testing.B) {
+				r := core.NewRunner(mode.parallel)
+				for b.Loop() {
+					for _, id := range ids {
+						res, err := r.RunExperiment(context.Background(), id, nil)
+						if err != nil {
+							b.Fatalf("%s: %v", id, err)
+						}
+						if res.Text() == "" {
+							b.Fatalf("%s: empty table", id)
+						}
+					}
+				}
+			})
 		}
 	}
-}
-
-// BenchmarkE1Dom0OverheadParallel fans the sweep's six cells across the
-// worker pool.
-func BenchmarkE1Dom0OverheadParallel(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := parallelEng.E1(core.E1Config{Sizes: []int{64, 1500, 4096}, Packets: 50})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rows) == 0 {
-			b.Fatal("no rows")
-		}
+	for _, id := range all {
+		b.Run(id, func(b *testing.B) { run(b, []string{id}) })
 	}
-}
-
-// BenchmarkE2IPCCount regenerates the IPC-equivalence comparison.
-func BenchmarkE2IPCCount(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := serialEng.E2(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkE3SyscallPath regenerates the syscall-path table.
-func BenchmarkE3SyscallPath(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := serialEng.E3(100); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkE4BlastRadius regenerates the fault-isolation table.
-func BenchmarkE4BlastRadius(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := serialEng.E4(3); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkE5Census regenerates the primitive census.
-func BenchmarkE5Census(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := serialEng.E5(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkE6Portability regenerates the nine-architecture table.
-func BenchmarkE6Portability(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := serialEng.E6(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkE7Micro regenerates the primitive microbenchmarks.
-func BenchmarkE7Micro(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := serialEng.E7(100); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkE7MicroParallel runs the three measurement blocks concurrently.
-func BenchmarkE7MicroParallel(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := parallelEng.E7(100); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkE8Macro regenerates the web-serving macro comparison.
-func BenchmarkE8Macro(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := serialEng.E8(20); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkE8MacroParallel serves the three platforms' request streams
-// concurrently.
-func BenchmarkE8MacroParallel(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := parallelEng.E8(20); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkE9Ablation regenerates the ablation table.
-func BenchmarkE9Ablation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := serialEng.E9(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkE9AblationParallel fans all eighteen ablation cells out at once.
-func BenchmarkE9AblationParallel(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := parallelEng.E9(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkE10Extension regenerates the minimal-extension complexity table.
-func BenchmarkE10Extension(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := serialEng.E10(50); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// benchE11Config is a trimmed migration sweep sized for benchmarking.
-var benchE11Config = core.E11Config{
-	Frames:     64,
-	DirtyRates: []int{0, 16},
-	Budgets:    []int{0, 2},
-	Cutoff:     2,
-}
-
-// BenchmarkE11LiveMig regenerates the live-migration downtime sweep.
-func BenchmarkE11LiveMig(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := serialEng.E11(benchE11Config)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rows) == 0 {
-			b.Fatal("no rows")
-		}
-	}
-}
-
-// BenchmarkE11LiveMigParallel fans the migration cells (two machines each)
-// across the worker pool.
-func BenchmarkE11LiveMigParallel(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := parallelEng.E11(benchE11Config)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rows) == 0 {
-			b.Fatal("no rows")
-		}
-	}
-}
-
-// benchE12Config is a trimmed SMP sweep sized for benchmarking.
-var benchE12Config = core.E12Config{
-	CPUCounts: []int{1, 4},
-	Ops:       120,
-	Pages:     32,
-	Packets:   12,
-}
-
-// BenchmarkE12SMP regenerates the SMP scaling sweep.
-func BenchmarkE12SMP(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := serialEng.E12(benchE12Config)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rows) == 0 {
-			b.Fatal("no rows")
-		}
-	}
-}
-
-// BenchmarkE12SMPParallel fans the SMP cells across the worker pool.
-func BenchmarkE12SMPParallel(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := parallelEng.E12(benchE12Config)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rows) == 0 {
-			b.Fatal("no rows")
-		}
-	}
-}
-
-// benchE13Config is a trimmed fleet sweep sized for benchmarking.
-var benchE13Config = core.E13Config{
-	Fleets:     []int{2, 4},
-	Churns:     []int{32},
-	HostFrames: 160,
-}
-
-// BenchmarkE13Cluster regenerates the fleet placement-and-migration sweep.
-func BenchmarkE13Cluster(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := serialEng.E13(benchE13Config)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rows) == 0 {
-			b.Fatal("no rows")
-		}
-	}
-}
-
-// BenchmarkE13ClusterParallel fans the fleet cells (each booting a whole
-// cluster of pooled hosts) across the worker pool.
-func BenchmarkE13ClusterParallel(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := parallelEng.E13(benchE13Config)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rows) == 0 {
-			b.Fatal("no rows")
-		}
-	}
-}
-
-// BenchmarkAllExperiments runs the entire evaluation once per iteration —
-// the end-to-end "reproduce the paper" cost.
-func BenchmarkAllExperiments(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if err := serialEng.RunAll(io.Discard); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAllExperimentsParallel is the same evaluation with every
-// experiment's cells fanned across the worker pool — the wall-clock win the
-// engine exists for.
-func BenchmarkAllExperimentsParallel(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if err := parallelEng.RunAll(io.Discard); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkRegistryE7 runs E7 through the registry's uniform entry point
-// (normalization, the experiment, Result assembly) — the path the CLI and
-// every future plug-in experiment use.
-func BenchmarkRegistryE7(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := serialEng.RunExperiment(context.Background(), "e7", core.Params{"syscalls": 100})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res.Tables) == 0 {
-			b.Fatal("no tables")
-		}
-	}
+	b.Run("all", func(b *testing.B) { run(b, all) })
 }
 
 // BenchmarkResultJSON measures the stable JSON encoding of a finished
 // Result — the cost downstream tooling pays per stored document.
 func BenchmarkResultJSON(b *testing.B) {
-	res, err := serialEng.RunExperiment(context.Background(), "e7", core.Params{"syscalls": 100})
+	res, err := core.SerialRunner().RunExperiment(context.Background(), "e7", core.Params{"syscalls": 100})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -12,7 +12,6 @@ import (
 	"log"
 
 	"vmmk/internal/core"
-	"vmmk/internal/trace"
 )
 
 func main() {
@@ -22,7 +21,8 @@ func main() {
 	fmt.Println("faultlab — blast radius of a storage-service crash")
 	fmt.Println()
 
-	table := trace.NewTable("", "platform", "component", "before", "after crash")
+	table := core.NewResultTable("",
+		core.Col("platform", ""), core.Col("component", ""), core.Col("before", ""), core.Col("after crash", ""))
 	builders := []func() (core.Platform, error){
 		func() (core.Platform, error) { return core.NewMKStack(core.Config{Guests: guests}) },
 		func() (core.Platform, error) { return core.NewXenStack(core.Config{Guests: guests}) },
@@ -74,7 +74,7 @@ func main() {
 			table.AddRow(p.Name(), name, b, after[name])
 		}
 	}
-	fmt.Println(table)
+	fmt.Print(core.NewResult(table).Text())
 	fmt.Println("§3.1's point, measured: the user-level storage server and the Parallax")
 	fmt.Println("appliance have the same failure semantics. 'We fail to see the")
 	fmt.Println("difference between a VMM and a microkernel in this respect.'")

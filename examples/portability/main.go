@@ -10,11 +10,9 @@ package main
 import (
 	"fmt"
 	"log"
-	"strings"
 
 	"vmmk/internal/core"
 	"vmmk/internal/hw"
-	"vmmk/internal/trace"
 )
 
 func main() {
@@ -23,23 +21,11 @@ func main() {
 	fmt.Println("portability — one component, nine architectures")
 	fmt.Println()
 
-	rows, err := core.RunE6()
+	res, err := core.RunExperiment("e6", nil)
 	if err != nil {
 		log.Fatal(err)
 	}
-	table := trace.NewTable("", "architecture", "mk personality", "VMM guest port items")
-	for _, r := range rows {
-		status := "runs unchanged"
-		if !r.MKRuns {
-			status = "FAILED"
-		}
-		items := "(baseline)"
-		if len(r.VMMDeltaNames) > 0 {
-			items = strings.Join(r.VMMDeltaNames, "; ")
-		}
-		table.AddRow(r.Arch, status, items)
-	}
-	fmt.Println(table)
+	fmt.Print(res.Text())
 
 	// Show it concretely: the same IPC echo on the two extremes of the
 	// span, an embedded ARM and a big-iron PPC64.

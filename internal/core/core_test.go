@@ -1,7 +1,8 @@
 package core
 
 import (
-	"bytes"
+	"context"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -64,7 +65,7 @@ func TestPlatformGuestIndexValidation(t *testing.T) {
 // --- E1 ------------------------------------------------------------------
 
 func TestE1FlipCostFlatInSize(t *testing.T) {
-	rows, err := RunE1(E1Config{Sizes: []int{64, 4096}, Packets: 40})
+	rows, err := NewRunner(0).e1(context.Background(), E1Config{Sizes: []int{64, 4096}, Packets: 40})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +108,7 @@ func TestE1FlipCostFlatInSize(t *testing.T) {
 }
 
 func TestE1RateSweepShape(t *testing.T) {
-	rows, err := RunE1Rates([]int{1000, 20000, 100000}, 80, 1500)
+	rows, err := NewRunner(0).e1Rates(context.Background(), []int{1000, 20000, 100000}, 80, 1500)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +135,7 @@ func TestE1RateSweepShape(t *testing.T) {
 // --- E2 ------------------------------------------------------------------
 
 func TestE2CountsEssentiallyEqual(t *testing.T) {
-	rows, err := RunE2()
+	rows, err := NewRunner(0).e2(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +158,7 @@ func TestE2CountsEssentiallyEqual(t *testing.T) {
 // --- E3 ------------------------------------------------------------------
 
 func TestE3FastPathStory(t *testing.T) {
-	rows, err := RunE3(100)
+	rows, err := NewRunner(0).e3(context.Background(), 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +205,7 @@ func TestE3FastPathStory(t *testing.T) {
 // --- E4 ------------------------------------------------------------------
 
 func TestE4BlastRadiusIdenticalOnBothSystems(t *testing.T) {
-	rows, err := RunE4(3)
+	rows, err := NewRunner(0).e4(context.Background(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +252,7 @@ func TestE4BlastRadiusIdenticalOnBothSystems(t *testing.T) {
 // --- E5 ------------------------------------------------------------------
 
 func TestE5CensusOneVsTen(t *testing.T) {
-	rows, err := RunE5()
+	rows, err := NewRunner(0).e5(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +289,7 @@ func TestE5CensusOneVsTen(t *testing.T) {
 // --- E6 ------------------------------------------------------------------
 
 func TestE6NinePlatformsUnchanged(t *testing.T) {
-	rows, err := RunE6()
+	rows, err := NewRunner(0).e6(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +316,7 @@ func TestE6NinePlatformsUnchanged(t *testing.T) {
 // --- E7 ------------------------------------------------------------------
 
 func TestE7CostStructure(t *testing.T) {
-	rows, err := RunE7(50)
+	rows, err := NewRunner(0).e7(context.Background(), 50)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,7 +395,7 @@ func TestE7OrderingHoldsOnAllArchitectures(t *testing.T) {
 // --- E8 ------------------------------------------------------------------
 
 func TestE8BothParavirtStacksViable(t *testing.T) {
-	rows, err := RunE8(20)
+	rows, err := NewRunner(0).e8(context.Background(), 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -421,7 +422,7 @@ func TestE8BothParavirtStacksViable(t *testing.T) {
 // --- E9 ------------------------------------------------------------------
 
 func TestE9Ablations(t *testing.T) {
-	rows, err := RunE9()
+	rows, err := NewRunner(0).e9(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -556,7 +557,7 @@ func TestConsolidatedStorageStillWorks(t *testing.T) {
 // --- E10 -----------------------------------------------------------------
 
 func TestE10ExtensionComplexity(t *testing.T) {
-	rows, err := RunE10(50)
+	rows, err := NewRunner(0).e10(context.Background(), 50)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -592,7 +593,7 @@ func TestE10ExtensionComplexity(t *testing.T) {
 
 func TestE11LiveMigrationBeatsStopAndCopy(t *testing.T) {
 	cfg := E11Config{Frames: 64, DirtyRates: []int{0, 4, 16}, Budgets: []int{0, 1, 4}, Cutoff: 2}
-	rows, err := RunE11(cfg)
+	rows, err := NewRunner(0).e11(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -645,18 +646,42 @@ func TestE11LiveMigrationBeatsStopAndCopy(t *testing.T) {
 
 // --- harness -------------------------------------------------------------
 
+// evaluation runs every registered experiment at its defaults on r and
+// renders the whole report the way `vmmklab all` prints it.
+func evaluation(t *testing.T, r *Runner) string {
+	t.Helper()
+	var b strings.Builder
+	for _, s := range Specs() {
+		res, err := r.RunExperiment(context.Background(), s.ID, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", s.ID, err)
+		}
+		fmt.Fprintf(&b, "== %s: %s ==\n", s.ID, s.Title)
+		b.WriteString(res.Text())
+	}
+	return b.String()
+}
+
 func TestRunAllProducesEveryTable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment suite in -short mode")
 	}
-	var buf bytes.Buffer
-	if err := RunAll(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, e := range Experiments() {
-		if !strings.Contains(out, "== "+e.ID+":") {
-			t.Errorf("output missing experiment %s", e.ID)
+	r := NewRunner(0)
+	for _, s := range Specs() {
+		res, err := r.RunExperiment(context.Background(), s.ID, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", s.ID, err)
+		}
+		if res.Experiment != s.ID || len(res.Tables) == 0 {
+			t.Errorf("%s: result %q has %d tables", s.ID, res.Experiment, len(res.Tables))
+		}
+		for _, tb := range res.Tables {
+			if len(tb.Rows) == 0 {
+				t.Errorf("%s: table %q has no rows", s.ID, tb.Title)
+			}
+		}
+		if res.Text() == "" {
+			t.Errorf("%s: renders no text", s.ID)
 		}
 	}
 }
@@ -714,14 +739,7 @@ func TestWholeEvaluationIsReproducible(t *testing.T) {
 	}
 	// The repository's headline determinism property: the entire
 	// evaluation, byte for byte, twice.
-	var a, b bytes.Buffer
-	if err := RunAll(&a); err != nil {
-		t.Fatal(err)
-	}
-	if err := RunAll(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+	if evaluation(t, NewRunner(0)) != evaluation(t, NewRunner(0)) {
 		t.Fatal("two runs of the full evaluation differ — nondeterminism crept in")
 	}
 }

@@ -9,15 +9,17 @@
 // blast radii, primitive censuses, portability deltas, migration downtime
 // and — on multiprocessors — IPI and TLB-shootdown burden.
 //
-// The experiments are E1–E12, one file each (e1_dom0.go … e12_smp.go),
+// The experiments are E1–E13, one file each (e1_dom0.go … e13_cluster.go),
 // documented in EXPERIMENTS.md. Each file declares a Spec — id, title,
 // typed parameters — and self-registers at init into the declarative
 // registry (spec.go); the CLI's flags and validation, the `list` output,
 // the `all` sweep and the benchmarks are all generated from Specs(). Every
 // experiment implements the uniform entry point
-// Run(ctx, *Runner, Params) (*Result, error); Result (result.go) is the
-// single typed result model — column schema with units, rows, echoed
-// params — rendering as aligned text, CSV and stable JSON. Each experiment
+// Run(ctx, *Runner, Params) (*Result, error), and Runner.RunExperiment is
+// the one way to reach it from outside the package; ctx is how a caller
+// cancels a run. Result (result.go) is the single typed result model —
+// column schema with units, rows, echoed params — and the only table
+// renderer, as aligned text, CSV and stable JSON. Each experiment
 // decomposes into independent cells — one freshly booted Platform or
 // hw.Machine per (platform, parameter-point) pair — executed by the
 // parallel engine in runner.go: results land at their cell's index and

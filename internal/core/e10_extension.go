@@ -25,8 +25,8 @@ func init() {
 		ID:     "e10",
 		Title:  "minimal-extension interface complexity",
 		Params: []Param{paramSyscalls},
-		Run: func(_ context.Context, r *Runner, p Params) (*Result, error) {
-			rows, err := r.E10(p.Int("syscalls"))
+		Run: func(ctx context.Context, r *Runner, p Params) (*Result, error) {
+			rows, err := r.e10(ctx, p.Int("syscalls"))
 			if err != nil {
 				return nil, err
 			}
@@ -44,18 +44,15 @@ type E10Row struct {
 	CyclesPerGet    uint64
 }
 
-// RunE10 boots the extension on both systems and serves n get requests.
-func RunE10(n int) ([]E10Row, error) { return DefaultRunner().E10(n) }
-
-// E10 boots each platform's extension in its own cell.
-func (r *Runner) E10(n int) ([]E10Row, error) {
+// e10 boots each platform's extension in its own cell.
+func (r *Runner) e10(ctx context.Context, n int) ([]E10Row, error) {
 	if n <= 0 {
 		n = 100
 	}
 	cells := []func(context.Context) ([]E10Row, error){
 		// --- Microkernel: one thread, one handler, IPC only.
 		func(ctx context.Context) ([]E10Row, error) {
-			m, release := acquireMachine(ctx, hw.X86(), &hw.MachineConfig{Frames: 512})
+			m, release := AcquireMachine(ctx, hw.X86(), &hw.MachineConfig{Frames: 512})
 			defer release()
 			k := mk.New(m)
 			snap := m.Rec.Snapshot()
@@ -91,7 +88,7 @@ func (r *Runner) E10(n int) ([]E10Row, error) {
 		},
 		// --- VMM: a domain with hooks, channels and grants.
 		func(ctx context.Context) ([]E10Row, error) {
-			m, release := acquireMachine(ctx, hw.X86(), &hw.MachineConfig{Frames: 1024})
+			m, release := AcquireMachine(ctx, hw.X86(), &hw.MachineConfig{Frames: 1024})
 			defer release()
 			h, _, err := vmm.New(m, 64)
 			if err != nil {
@@ -134,7 +131,7 @@ func (r *Runner) E10(n int) ([]E10Row, error) {
 			}}, nil
 		},
 	}
-	return runFuncs(r, cells)
+	return runFuncs(ctx, r, cells)
 }
 
 // distinctSince returns the primitive kinds whose counters moved since the
@@ -164,7 +161,3 @@ func e10Table(rows []E10Row) *ResultTable {
 	}
 	return t
 }
-
-// E10Table renders the comparison (compatibility wrapper over the
-// registry's Result model).
-func E10Table(rows []E10Row) *trace.Table { return e10Table(rows).Trace() }

@@ -31,13 +31,13 @@ func init() {
 			{Name: "hostframes", Kind: ParamInt, DefaultInt: 192, Max: 1 << 20,
 				Unit: "pages", Help: "physical memory pages per E13 host"},
 		},
-		Run: func(_ context.Context, r *Runner, p Params) (*Result, error) {
+		Run: func(ctx context.Context, r *Runner, p Params) (*Result, error) {
 			cfg := E13Config{
 				Fleets:     p.IntList("fleet"),
 				Churns:     p.IntList("churn"),
 				HostFrames: p.Int("hostframes"),
 			}
-			rows, err := r.E13(cfg)
+			rows, err := r.e13(ctx, cfg)
 			if err != nil {
 				return nil, err
 			}
@@ -96,14 +96,11 @@ type E13Row struct {
 	SLOViol    int     // rejections + downtime SLO misses
 }
 
-// RunE13 runs the sweep on the default parallel runner.
-func RunE13(cfg E13Config) ([]E13Row, error) { return DefaultRunner().E13(cfg) }
-
-// E13 fans one cell out per (fleet size, churn count, policy) triple.
+// e13 fans one cell out per (fleet size, churn count, policy) triple.
 // Every cell boots its own fleet from the worker's machine pool and seeds
 // its own churn stream from the cell parameters, so the table is
 // byte-identical at any -parallel width.
-func (r *Runner) E13(cfg E13Config) ([]E13Row, error) {
+func (r *Runner) e13(ctx context.Context, cfg E13Config) ([]E13Row, error) {
 	cfg.defaults()
 	type cellCfg struct {
 		fleet, churn int
@@ -117,7 +114,7 @@ func (r *Runner) E13(cfg E13Config) ([]E13Row, error) {
 			}
 		}
 	}
-	return runCells(r, len(cells), func(ctx context.Context, i int) (E13Row, error) {
+	return RunCells(ctx, r, len(cells), func(ctx context.Context, i int) (E13Row, error) {
 		c := cells[i]
 		return e13Cell(ctx, c.fleet, c.churn, cfg.HostFrames, c.policy, cfg.SLO)
 	})
@@ -126,7 +123,7 @@ func (r *Runner) E13(cfg E13Config) ([]E13Row, error) {
 // e13Cell boots one fleet, runs its churn, and reads the meters.
 func e13Cell(ctx context.Context, fleet, churn, hostFrames int, pol cluster.Policy, slo hw.Cycles) (E13Row, error) {
 	src := func(mc *hw.MachineConfig) (*hw.Machine, func()) {
-		return acquireMachine(ctx, hw.X86(), mc)
+		return AcquireMachine(ctx, hw.X86(), mc)
 	}
 	cl, err := cluster.New(cluster.Config{
 		Hosts:      fleet,

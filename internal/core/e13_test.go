@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"reflect"
 	"testing"
 )
@@ -15,11 +16,11 @@ func e13SmallConfig() E13Config {
 // even though the parallel run slices the fleet boots across per-worker
 // machine pools.
 func TestE13SerialMatchesParallel(t *testing.T) {
-	serial, err := SerialRunner().E13(e13SmallConfig())
+	serial, err := SerialRunner().e13(context.Background(), e13SmallConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := NewRunner(8).E13(e13SmallConfig())
+	parallel, err := NewRunner(8).e13(context.Background(), e13SmallConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +34,7 @@ func TestE13SerialMatchesParallel(t *testing.T) {
 // column distinguishing the two policies somewhere in the sweep.
 func TestE13RowsShaped(t *testing.T) {
 	cfg := E13Defaults()
-	rows, err := SerialRunner().E13(cfg)
+	rows, err := SerialRunner().e13(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"vmmk/internal/hw"
-	"vmmk/internal/trace"
 	"vmmk/internal/vmm"
 	"vmmk/internal/vmmos"
 )
@@ -21,8 +20,8 @@ func init() {
 		ID:     "e3",
 		Title:  "guest system-call paths",
 		Params: []Param{paramSyscalls},
-		Run: func(_ context.Context, r *Runner, p Params) (*Result, error) {
-			rows, err := r.E3(p.Int("syscalls"))
+		Run: func(ctx context.Context, r *Runner, p Params) (*Result, error) {
+			rows, err := r.e3(ctx, p.Int("syscalls"))
 			if err != nil {
 				return nil, err
 			}
@@ -39,12 +38,9 @@ type E3Row struct {
 	FastPathLive bool
 }
 
-// RunE3 measures the four configurations with n syscalls each.
-func RunE3(n int) ([]E3Row, error) { return DefaultRunner().E3(n) }
-
-// E3 runs the four configurations as independent cells, each on its own
+// e3 runs the four configurations as independent cells, each on its own
 // freshly booted stack.
-func (r *Runner) E3(n int) ([]E3Row, error) {
+func (r *Runner) e3(ctx context.Context, n int) ([]E3Row, error) {
 	if n <= 0 {
 		n = 200
 	}
@@ -134,7 +130,7 @@ func (r *Runner) E3(n int) ([]E3Row, error) {
 			}}, nil
 		},
 	}
-	return runFuncs(r, cells)
+	return runFuncs(ctx, r, cells)
 }
 
 // e3Table builds the registry table.
@@ -153,7 +149,3 @@ func e3Table(rows []E3Row) *ResultTable {
 	}
 	return t
 }
-
-// E3Table renders the rows (compatibility wrapper over the registry's
-// Result model).
-func E3Table(rows []E3Row) *trace.Table { return e3Table(rows).Trace() }

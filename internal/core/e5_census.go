@@ -18,8 +18,8 @@ func init() {
 	Register(Spec{
 		ID:    "e5",
 		Title: "privileged-primitive census",
-		Run: func(_ context.Context, r *Runner, _ Params) (*Result, error) {
-			rows, err := r.E5()
+		Run: func(ctx context.Context, r *Runner, _ Params) (*Result, error) {
+			rows, err := r.e5(ctx)
 			if err != nil {
 				return nil, err
 			}
@@ -99,11 +99,8 @@ func censusWorkload(p Platform) error {
 	return nil
 }
 
-// RunE5 runs the census on fresh stacks.
-func RunE5() ([]E5Row, error) { return DefaultRunner().E5() }
-
-// E5 runs the two platform censuses as independent cells.
-func (r *Runner) E5() ([]E5Row, error) {
+// e5 runs the two platform censuses as independent cells.
+func (r *Runner) e5(ctx context.Context) ([]E5Row, error) {
 	cells := []func(context.Context) ([]E5Row, error){
 		// Microkernel.
 		func(ctx context.Context) ([]E5Row, error) {
@@ -155,7 +152,7 @@ func (r *Runner) E5() ([]E5Row, error) {
 			}}, nil
 		},
 	}
-	return runFuncs(r, cells)
+	return runFuncs(ctx, r, cells)
 }
 
 func kindNames(kinds []trace.Kind) []string {
@@ -178,7 +175,3 @@ func e5Table(rows []E5Row) *ResultTable {
 	}
 	return t
 }
-
-// E5Table renders the census (compatibility wrapper over the registry's
-// Result model).
-func E5Table(rows []E5Row) *trace.Table { return e5Table(rows).Trace() }

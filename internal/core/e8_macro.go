@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"vmmk/internal/trace"
 	"vmmk/internal/workload"
 )
 
@@ -23,8 +22,8 @@ func init() {
 			Name: "requests", Kind: ParamInt, DefaultInt: 50, Max: 1 << 20,
 			Unit: "requests", Help: "request count for E8",
 		}},
-		Run: func(_ context.Context, r *Runner, p Params) (*Result, error) {
-			rows, err := r.E8(p.Int("requests"))
+		Run: func(ctx context.Context, r *Runner, p Params) (*Result, error) {
+			rows, err := r.e8(ctx, p.Int("requests"))
 			if err != nil {
 				return nil, err
 			}
@@ -49,13 +48,10 @@ type E8Row struct {
 // crossing overhead, which is E7's job.
 const thinkCycles = 100_000
 
-// RunE8 serves n web requests on each platform.
-func RunE8(n int) ([]E8Row, error) { return DefaultRunner().E8(n) }
-
-// E8 serves the same request stream on each platform in its own cell; the
+// e8 serves the same request stream on each platform in its own cell; the
 // relative-cost column is derived from the native row after the cells join,
 // so it is independent of which platform finishes first.
-func (r *Runner) E8(n int) ([]E8Row, error) {
+func (r *Runner) e8(ctx context.Context, n int) ([]E8Row, error) {
 	if n <= 0 {
 		n = 50
 	}
@@ -97,7 +93,7 @@ func (r *Runner) E8(n int) ([]E8Row, error) {
 		func(c Config) (Platform, error) { return NewMKStack(c) },
 		func(c Config) (Platform, error) { return NewXenStack(c) },
 	}
-	rows, err := runCells(r, len(builders), func(ctx context.Context, i int) (E8Row, error) {
+	rows, err := RunCells(ctx, r, len(builders), func(ctx context.Context, i int) (E8Row, error) {
 		p, err := builders[i](Config{}.WithPool(ctx))
 		if err != nil {
 			return E8Row{}, err
@@ -140,7 +136,3 @@ func e8Table(rows []E8Row) *ResultTable {
 	}
 	return t
 }
-
-// E8Table renders the rows (compatibility wrapper over the registry's
-// Result model).
-func E8Table(rows []E8Row) *trace.Table { return e8Table(rows).Trace() }

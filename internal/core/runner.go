@@ -17,8 +17,6 @@ import (
 type Runner struct {
 	// Parallel caps the number of cells in flight; <= 0 means GOMAXPROCS.
 	Parallel int
-	// Ctx, when non-nil, cancels an in-progress experiment early.
-	Ctx context.Context
 
 	// poolMu guards pools, the idle machine pools handed to workers. Each
 	// worker borrows one pool for the duration of an experiment (so the
@@ -32,34 +30,19 @@ type Runner struct {
 // NewRunner returns a runner with the given worker cap (<= 0: GOMAXPROCS).
 func NewRunner(parallel int) *Runner { return &Runner{Parallel: parallel} }
 
-// DefaultRunner fans out across GOMAXPROCS workers — what the plain RunE*
-// helpers use.
-func DefaultRunner() *Runner { return &Runner{} }
-
 // SerialRunner executes one cell at a time, in index order.
 func SerialRunner() *Runner { return &Runner{Parallel: 1} }
 
 func (r *Runner) workers() int {
-	if r == nil || r.Parallel <= 0 {
+	if r.Parallel <= 0 {
 		return runtime.GOMAXPROCS(0)
 	}
 	return r.Parallel
 }
 
-func (r *Runner) ctx() context.Context {
-	if r == nil || r.Ctx == nil {
-		return context.Background()
-	}
-	return r.Ctx
-}
-
 // borrowPool hands a worker an idle machine pool, creating one when all are
-// in use. A nil Runner (direct cell calls in tests) gets a nil pool, which
-// acquireMachine treats as "always build fresh".
+// in use.
 func (r *Runner) borrowPool() *hw.MachinePool {
-	if r == nil {
-		return nil
-	}
 	r.poolMu.Lock()
 	defer r.poolMu.Unlock()
 	if n := len(r.pools); n > 0 {
@@ -74,20 +57,20 @@ func (r *Runner) borrowPool() *hw.MachinePool {
 // returnPool puts a worker's pool back for the next experiment on this
 // Runner.
 func (r *Runner) returnPool(p *hw.MachinePool) {
-	if r == nil || p == nil {
-		return
-	}
 	r.poolMu.Lock()
 	r.pools = append(r.pools, p)
 	r.poolMu.Unlock()
 }
 
-// runCells executes n independent cells on up to r.Parallel workers and
-// returns their results in cell order. A failure cancels the cells not yet
-// started; the lowest-indexed failure actually observed is returned after
-// in-flight cells drain. Cancellation of the runner's own context wins only
-// when no cell failed outright.
-func runCells[T any](r *Runner, n int, cell func(ctx context.Context, i int) (T, error)) ([]T, error) {
+// RunCells executes n independent cells on up to r.Parallel workers and
+// returns their results in cell order. It is the one fan-out every
+// experiment and the scenario matrix share: each worker carries its own
+// machine pool in the cell context (AcquireMachine), so serial and parallel
+// runs are identical. A failure cancels the cells not yet started; the
+// lowest-indexed failure actually observed is returned after in-flight
+// cells drain. Cancellation of parent wins only when no cell failed
+// outright.
+func RunCells[T any](parent context.Context, r *Runner, n int, cell func(ctx context.Context, i int) (T, error)) ([]T, error) {
 	if n <= 0 {
 		return nil, nil
 	}
@@ -95,7 +78,7 @@ func runCells[T any](r *Runner, n int, cell func(ctx context.Context, i int) (T,
 	if workers > n {
 		workers = n
 	}
-	ctx, cancel := context.WithCancel(r.ctx())
+	ctx, cancel := context.WithCancel(parent)
 	defer cancel()
 
 	out := make([]T, n)
@@ -161,25 +144,16 @@ func runCells[T any](r *Runner, n int, cell func(ctx context.Context, i int) (T,
 	if cellErr != nil {
 		return nil, cellErr
 	}
-	if err := r.ctx().Err(); err != nil {
+	if err := parent.Err(); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
-// RunCells is the exported face of runCells for deterministic harnesses
-// outside the experiment registry (the scenario matrix): n independent
-// cells fan out across the runner's bounded worker pool, each worker
-// carrying its own machine pool in the cell context (AcquireMachine), and
-// results land in cell order — serial and parallel runs are identical.
-func RunCells[T any](r *Runner, n int, cell func(ctx context.Context, i int) (T, error)) ([]T, error) {
-	return runCells(r, n, cell)
-}
-
-// runFlat is runCells for experiments whose cells each yield a slice of
+// runFlat is RunCells for experiments whose cells each yield a slice of
 // rows: the per-cell groups are concatenated in cell order.
-func runFlat[T any](r *Runner, n int, cell func(ctx context.Context, i int) ([]T, error)) ([]T, error) {
-	groups, err := runCells(r, n, cell)
+func runFlat[T any](ctx context.Context, r *Runner, n int, cell func(ctx context.Context, i int) ([]T, error)) ([]T, error) {
+	groups, err := RunCells(ctx, r, n, cell)
 	if err != nil {
 		return nil, err
 	}
@@ -193,8 +167,8 @@ func runFlat[T any](r *Runner, n int, cell func(ctx context.Context, i int) ([]T
 // runFuncs executes a fixed list of heterogeneous cells (each already bound
 // to its parameters) and concatenates their row groups in list order — the
 // shape E3, E7 and E9 decompose into.
-func runFuncs[T any](r *Runner, cells []func(ctx context.Context) ([]T, error)) ([]T, error) {
-	return runFlat(r, len(cells), func(ctx context.Context, i int) ([]T, error) {
+func runFuncs[T any](ctx context.Context, r *Runner, cells []func(ctx context.Context) ([]T, error)) ([]T, error) {
+	return runFlat(ctx, r, len(cells), func(ctx context.Context, i int) ([]T, error) {
 		return cells[i](ctx)
 	})
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
-	"strings"
 	"sync/atomic"
 	"testing"
 )
@@ -15,7 +14,7 @@ import (
 func TestRunCellsOrderAndValues(t *testing.T) {
 	for _, parallel := range []int{1, 2, 8, 64} {
 		r := NewRunner(parallel)
-		out, err := runCells(r, 100, func(_ context.Context, i int) (int, error) {
+		out, err := RunCells(context.Background(), r, 100, func(_ context.Context, i int) (int, error) {
 			return i * i, nil
 		})
 		if err != nil {
@@ -34,7 +33,7 @@ func TestRunCellsOrderAndValues(t *testing.T) {
 
 // TestRunCellsEmpty checks the degenerate case.
 func TestRunCellsEmpty(t *testing.T) {
-	out, err := runCells(NewRunner(4), 0, func(_ context.Context, i int) (int, error) {
+	out, err := RunCells(context.Background(), NewRunner(4), 0, func(_ context.Context, i int) (int, error) {
 		t.Fatal("cell ran for n=0")
 		return 0, nil
 	})
@@ -50,7 +49,7 @@ func TestRunCellsFirstError(t *testing.T) {
 	boom := func(i int) error { return fmt.Errorf("cell %d exploded", i) }
 	for _, parallel := range []int{1, 4} {
 		r := NewRunner(parallel)
-		_, err := runCells(r, 50, func(_ context.Context, i int) (int, error) {
+		_, err := RunCells(context.Background(), r, 50, func(_ context.Context, i int) (int, error) {
 			if i == 3 || i == 7 {
 				return 0, boom(i)
 			}
@@ -72,7 +71,7 @@ func TestRunCellsFirstError(t *testing.T) {
 // work: with one worker, nothing after the failing cell may run.
 func TestRunCellsErrorStopsLaterCells(t *testing.T) {
 	var ran atomic.Int32
-	_, err := runCells(SerialRunner(), 100, func(_ context.Context, i int) (int, error) {
+	_, err := RunCells(context.Background(), SerialRunner(), 100, func(_ context.Context, i int) (int, error) {
 		ran.Add(1)
 		if i == 5 {
 			return 0, errors.New("stop here")
@@ -87,13 +86,13 @@ func TestRunCellsErrorStopsLaterCells(t *testing.T) {
 	}
 }
 
-// TestRunCellsContextCancel checks an externally cancelled runner context
-// surfaces as its error and stops scheduling cells.
+// TestRunCellsContextCancel checks an externally cancelled ctx surfaces as
+// its error and stops scheduling cells.
 func TestRunCellsContextCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	r := &Runner{Parallel: 4, Ctx: ctx}
+	defer cancel()
 	var ran atomic.Int32
-	_, err := runCells(r, 1000, func(_ context.Context, i int) (int, error) {
+	_, err := RunCells(ctx, NewRunner(4), 1000, func(_ context.Context, i int) (int, error) {
 		if ran.Add(1) == 10 {
 			cancel()
 		}
@@ -110,7 +109,7 @@ func TestRunCellsContextCancel(t *testing.T) {
 // TestRunFlatConcatenatesInOrder checks the flattening helper preserves
 // group order.
 func TestRunFlatConcatenatesInOrder(t *testing.T) {
-	out, err := runFlat(NewRunner(8), 10, func(_ context.Context, i int) ([]int, error) {
+	out, err := runFlat(context.Background(), NewRunner(8), 10, func(_ context.Context, i int) ([]int, error) {
 		return []int{i * 10, i*10 + 1}, nil
 	})
 	if err != nil {
@@ -137,11 +136,11 @@ func TestSerialParallelIdentical(t *testing.T) {
 	serial, par := SerialRunner(), NewRunner(4)
 
 	cfg := E1Config{Sizes: []int{64, 1500, 4096}, Packets: 30}
-	s1, err := serial.E1(cfg)
+	s1, err := serial.e1(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p1, err := par.E1(cfg)
+	p1, err := par.e1(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,11 +148,11 @@ func TestSerialParallelIdentical(t *testing.T) {
 		t.Errorf("E1 diverges:\nserial:   %+v\nparallel: %+v", s1, p1)
 	}
 
-	s7, err := serial.E7(40)
+	s7, err := serial.e7(context.Background(), 40)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p7, err := par.E7(40)
+	p7, err := par.e7(context.Background(), 40)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,11 +160,11 @@ func TestSerialParallelIdentical(t *testing.T) {
 		t.Errorf("E7 diverges:\nserial:   %+v\nparallel: %+v", s7, p7)
 	}
 
-	s8, err := serial.E8(15)
+	s8, err := serial.e8(context.Background(), 15)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p8, err := par.E8(15)
+	p8, err := par.e8(context.Background(), 15)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,11 +175,11 @@ func TestSerialParallelIdentical(t *testing.T) {
 	// E11's cells pair two machines each and seed per-cell write streams;
 	// the migration sweep must still be order-independent.
 	cfg11 := E11Config{Frames: 48, DirtyRates: []int{0, 8}, Budgets: []int{0, 2}, Cutoff: 2}
-	s11, err := serial.E11(cfg11)
+	s11, err := serial.e11(context.Background(), cfg11)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p11, err := par.E11(cfg11)
+	p11, err := par.e11(context.Background(), cfg11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,23 +188,14 @@ func TestSerialParallelIdentical(t *testing.T) {
 	}
 }
 
-// TestSerialParallelIdenticalAll renders every experiment table through
-// RunAll on both a serial and a wide runner and compares the full reports
-// byte for byte — the whole-harness version of the guard above.
+// TestSerialParallelIdenticalAll renders every experiment at its defaults
+// on both a serial and a wide runner and compares the full reports byte
+// for byte — the whole-harness version of the guard above.
 func TestSerialParallelIdenticalAll(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full experiment suite twice")
 	}
-	render := func(r *Runner) string {
-		var buf strings.Builder
-		if err := r.RunAll(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.String()
-	}
-	a := render(SerialRunner())
-	b := render(NewRunner(4))
-	if a != b {
+	if evaluation(t, SerialRunner()) != evaluation(t, NewRunner(4)) {
 		t.Error("serial and parallel full reports differ")
 	}
 }

@@ -1,7 +1,7 @@
 package core
 
 // spec.go is the declarative experiment registry — the single source of
-// truth the CLI, the report harness and the benchmarks all generate from.
+// truth the CLI, the tests and the benchmarks all generate from.
 // Each experiment file declares a Spec (id, title, typed parameters) and
 // self-registers at init; adding experiment thirteen is one new file with
 // one Register call, and the flag surface, validation, `list` output and
@@ -158,7 +158,7 @@ func (ps Params) IntList(name string) []int {
 // and the uniform entry point every experiment implements. Experiments
 // self-register at init via Register.
 type Spec struct {
-	// ID is the experiment identifier ("e1" ... "e12").
+	// ID is the experiment identifier ("e1" ... "e13").
 	ID string
 	// Title is the one-line description `list` and the report headers show.
 	Title string
@@ -166,8 +166,9 @@ type Spec struct {
 	// across experiments (one CLI flag) must be declared identically.
 	Params []Param
 	// Run executes the experiment on the given runner with normalized
-	// parameters and returns its tables. RunExperiment stamps the Result
-	// with the spec's id, title and the echoed params.
+	// parameters and returns its tables; ctx reaches every cell, so
+	// cancelling it stops the run. RunExperiment stamps the Result with
+	// the spec's id, title and the echoed params.
 	Run func(ctx context.Context, r *Runner, p Params) (*Result, error)
 }
 
@@ -354,16 +355,18 @@ func FlagParams() []Param {
 	return out
 }
 
-// RunExperiment runs the registered experiment id on the default parallel
-// runner with the given parameters (nil means all defaults).
+// RunExperiment runs the registered experiment id on a fresh
+// GOMAXPROCS-wide runner with the given parameters (nil means all
+// defaults).
 func RunExperiment(id string, p Params) (*Result, error) {
-	return DefaultRunner().RunExperiment(context.Background(), id, p)
+	return NewRunner(0).RunExperiment(context.Background(), id, p)
 }
 
 // RunExperiment normalizes p against the experiment's spec, runs it on this
 // runner and returns the Result stamped with the experiment's id, title and
-// the echoed normalized parameters. A non-background ctx cancels in-flight
-// cells.
+// the echoed normalized parameters. It is the one way to run an experiment
+// from outside the package. ctx cancels the run: cells not yet started are
+// skipped and the run returns ctx's error.
 func (r *Runner) RunExperiment(ctx context.Context, id string, p Params) (*Result, error) {
 	s, ok := Lookup(id)
 	if !ok {
@@ -372,19 +375,6 @@ func (r *Runner) RunExperiment(ctx context.Context, id string, p Params) (*Resul
 	np, err := s.Normalize(p)
 	if err != nil {
 		return nil, err
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if r == nil {
-		r = DefaultRunner()
-	}
-	if ctx != context.Background() {
-		// Rebind the context on a fresh Runner rather than copying r: a
-		// Runner now owns a mutex-guarded machine-pool stack and must not
-		// be duplicated. The bound runner starts with cold pools, which
-		// only costs the first cell per worker a machine boot.
-		r = &Runner{Parallel: r.Parallel, Ctx: ctx}
 	}
 	res, err := s.Run(ctx, r, np)
 	if err != nil {

@@ -169,42 +169,6 @@ func TestRunExperimentHonorsContext(t *testing.T) {
 	}
 }
 
-// TestRegistryTextMatchesLegacyBuilders: the registry's Result renderer and
-// the kept compatibility wrappers (EnTable over the same rows) must agree
-// byte for byte — the in-package half of the byte-identity guarantee the
-// CLI golden files pin end to end.
-func TestRegistryTextMatchesLegacyBuilders(t *testing.T) {
-	r := SerialRunner()
-
-	rows3, err := r.E3(40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res3, err := r.RunExperiment(context.Background(), "e3", Params{"syscalls": 40})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := res3.Text(), E3Table(rows3).String()+"\n"; got != want {
-		t.Errorf("e3 registry text diverged from E3Table:\n%s\nvs\n%s", got, want)
-	}
-	if got, want := res3.CSV(), E3Table(rows3).CSV(); got != want {
-		t.Errorf("e3 registry CSV diverged from E3Table:\n%s\nvs\n%s", got, want)
-	}
-
-	cfg := E12Config{CPUCounts: []int{1, 2}}
-	rows12, err := r.E12(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res12, err := r.RunExperiment(context.Background(), "e12", Params{"cpus": []int{1, 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := res12.Text(), E12Table(rows12).String()+"\n"; got != want {
-		t.Errorf("e12 registry text diverged from E12Table:\n%s\nvs\n%s", got, want)
-	}
-}
-
 // TestResultJSONRoundTrip is the acceptance check for the machine-readable
 // encoding: params, units and rows survive encoding/json intact, and the
 // encoding is stable across runs.

@@ -67,7 +67,7 @@ func Run(opts Options) ([]RowResult, error) {
 		}
 	}
 	r := core.NewRunner(opts.Parallel)
-	return core.RunCells(r, len(rows), func(ctx context.Context, i int) (RowResult, error) {
+	return core.RunCells(context.Background(), r, len(rows), func(ctx context.Context, i int) (RowResult, error) {
 		return execute(ctx, rows[i]), nil
 	})
 }

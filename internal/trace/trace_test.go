@@ -357,44 +357,3 @@ func TestQuickChargeTotal(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestTableRendering(t *testing.T) {
-	tb := NewTable("T1", "workload", "ops", "ratio")
-	tb.AddRow("netrx", 1000, 1.03)
-	tb.AddRow("syscall", 5, "0.99x")
-	s := tb.String()
-	if !strings.Contains(s, "T1") || !strings.Contains(s, "netrx") {
-		t.Fatalf("bad table:\n%s", s)
-	}
-	lines := strings.Split(strings.TrimRight(s, "\n"), "\n")
-	if len(lines) != 5 { // title, header, rule, 2 rows
-		t.Fatalf("table has %d lines, want 5:\n%s", len(lines), s)
-	}
-	for _, l := range lines {
-		if strings.TrimRight(l, " ") != l {
-			t.Fatalf("line has trailing spaces: %q", l)
-		}
-	}
-}
-
-func TestTableCSV(t *testing.T) {
-	tb := NewTable("", "a", "b")
-	tb.AddRow(`x,y`, `he said "hi"`)
-	csv := tb.CSV()
-	want := "a,b\n\"x,y\",\"he said \"\"hi\"\"\"\n"
-	if csv != want {
-		t.Fatalf("csv = %q, want %q", csv, want)
-	}
-}
-
-func TestLooksNumeric(t *testing.T) {
-	cases := map[string]bool{
-		"123": true, "-4.5": true, "87%": true, "1.03x": true,
-		"abc": false, "": false, "1.2.3": false, "x": false,
-	}
-	for s, want := range cases {
-		if got := looksNumeric(s); got != want {
-			t.Errorf("looksNumeric(%q) = %v, want %v", s, got, want)
-		}
-	}
-}
